@@ -505,13 +505,52 @@ let delta_doc () =
     (Msched_route.Schedule.est_speed_hz
        delta.Compile.delta_compiled.Compile.schedule)
 
+(* Routing effort against design size: design1 at two scales, compiled
+   with the default options.  Expansions per search are deterministic and
+   gated tightly (Baseline's effort class), and so is their growth from
+   the small to the large design: a search that floods the array again
+   makes the expansions per search grow with the array and fails the
+   gate.  TIERS wall time is recorded for eyeballing, never compared. *)
+let scale_doc () =
+  let point scale =
+    let obs = Msched_obs.Sink.create () in
+    let d = Design_gen.design1_like ~scale () in
+    let prepared =
+      Msched.Compile.prepare
+        ~options:{ Msched.Compile.default_options with Msched.Compile.obs }
+        d.Design_gen.netlist
+    in
+    let t0 = Unix.gettimeofday () in
+    let sched = Msched.Compile.route ~obs prepared Tiers.default_options in
+    let tiers_s = Unix.gettimeofday () -. t0 in
+    let c = Msched_obs.Sink.counter obs in
+    let searches = c "pathfind.searches" in
+    let expansions = c "pathfind.states_expanded" in
+    let per_search =
+      float_of_int expansions /. float_of_int (max 1 searches)
+    in
+    ( per_search,
+      Printf.sprintf
+        "{\"spec\":%s,\"cells\":%d,\"searches\":%d,\"expansions\":%d,\"expansions_per_search\":%.4f,\"deepen_rounds\":%d,\"tiers_s\":%.6f,\"schedule_length\":%d,\"est_speed_hz\":%.1f}"
+        (Msched_diag.Diag.Json.string (Printf.sprintf "design1:scale=%g" scale))
+        (Netlist.num_cells d.Design_gen.netlist)
+        searches expansions per_search
+        (c "pathfind.deepen_rounds")
+        tiers_s sched.Msched_route.Schedule.length
+        (Msched_route.Schedule.est_speed_hz sched) )
+  in
+  let small, small_doc = point 0.1 in
+  let large, large_doc = point 0.3 in
+  Printf.sprintf "{\"points\":[%s,%s],\"expansions_growth\":%.4f}" small_doc
+    large_doc (large /. small)
+
 let write_pipeline_json path =
   let doc =
     Printf.sprintf
-      "{\"schema\":\"msched-bench-pipeline-7\",\"designs\":{\"design1\":%s,\"design2\":%s},\"driver\":%s,\"batch\":%s,\"serve\":%s,\"workloads\":%s,\"par\":%s,\"delta\":%s}\n"
+      "{\"schema\":\"msched-bench-pipeline-7\",\"designs\":{\"design1\":%s,\"design2\":%s},\"driver\":%s,\"batch\":%s,\"serve\":%s,\"workloads\":%s,\"par\":%s,\"delta\":%s,\"scale\":%s}\n"
       (pipeline_doc design1) (pipeline_doc design2) (driver_doc ())
       (batch_doc ()) (serve_doc ()) (workloads_doc ()) (par_doc ())
-      (delta_doc ())
+      (delta_doc ()) (scale_doc ())
   in
   let oc = open_out path in
   output_string oc doc;

@@ -434,21 +434,30 @@ let verify ?(obs = Msched_obs.Sink.null) placement analysis
     pins;
 
   (* ---- Completeness: every crossing net reaches every foreign block,
-     with a transport per constituent domain for multi-transition nets. ---- *)
+     with a transport per constituent domain for multi-transition nets.
+     Link schedules are indexed once by (net, destination block), keeping
+     their schedule order. ---- *)
+  let by_dest = Hashtbl.create 256 in
+  List.iter
+    (fun (ls : Schedule.link_sched) ->
+      let key =
+        ( Ids.Net.to_int ls.Schedule.ls_link.Link.net,
+          Ids.Block.to_int ls.Schedule.ls_link.Link.dst_block )
+      in
+      Hashtbl.replace by_dest key
+        (ls :: Option.value ~default:[] (Hashtbl.find_opt by_dest key)))
+    sched.Schedule.link_scheds;
   List.iter
     (fun net ->
       List.iter
         (fun (dst_block, _terms) ->
           let transports =
             List.concat_map
-              (fun (ls : Schedule.link_sched) ->
-                if
-                  Ids.Net.equal ls.Schedule.ls_link.Link.net net
-                  && Ids.Block.equal ls.Schedule.ls_link.Link.dst_block
-                       dst_block
-                then ls.Schedule.ls_transports
-                else [])
-              sched.Schedule.link_scheds
+              (fun (ls : Schedule.link_sched) -> ls.Schedule.ls_transports)
+              (List.rev
+                 (Option.value ~default:[]
+                    (Hashtbl.find_opt by_dest
+                       (Ids.Net.to_int net, Ids.Block.to_int dst_block))))
           in
           if transports = [] then push (Missing_link { net; dst_block })
           else if

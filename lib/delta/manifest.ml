@@ -4,8 +4,8 @@ module Placement = Msched_place.Placement
 module Reroute = Msched_route.Reroute
 module J = Msched_diag.Diag.Json
 
-let schema = "msched-delta-manifest-1"
-let block_schema = "msched-delta-block-1"
+let schema = "msched-delta-manifest-2"
+let block_schema = "msched-delta-block-2"
 
 (* Ledger entries cross netlists, so they are keyed by {e names}: net and
    domain names survive an edit while ids shift with it.  Resolution back

@@ -1,4 +1,4 @@
-(** The delta-compilation manifest (schema ["msched-delta-manifest-1"]):
+(** The delta-compilation manifest (schema ["msched-delta-manifest-2"]):
     everything a later compile of an {e edited} design needs in order to
     prove which work it may skip.
 

@@ -1,11 +1,12 @@
 module Diag = Msched_diag.Diag
 module J = Diag.Json
 
-type kind = Time | Count | Length | Speed | Bool
+type kind = Time | Count | Effort | Length | Speed | Bool
 
 let kind_name = function
   | Time -> "time"
   | Count -> "count"
+  | Effort -> "effort"
   | Length -> "length"
   | Speed -> "speed"
   | Bool -> "bool"
@@ -227,6 +228,49 @@ let extract text =
                 |> num_metric "est_speed_hz" Speed
             | None -> acc
           in
+          let acc =
+            (* Routing effort against design size: per-search expansions
+               and their growth are gated tightly; TIERS wall times are
+               informational. *)
+            match J.mem "scale" doc with
+            | Some scale ->
+                let acc =
+                  match Option.bind (J.mem "points" scale) J.arr with
+                  | None -> acc
+                  | Some points ->
+                      List.fold_left
+                        (fun acc e ->
+                          match Option.bind (J.mem "spec" e) J.str with
+                          | None -> acc
+                          | Some spec ->
+                              let num field kind acc =
+                                match Option.bind (J.mem field e) J.num with
+                                | Some f ->
+                                    {
+                                      m_path =
+                                        Printf.sprintf "scale.%s.%s" spec field;
+                                      m_kind = kind;
+                                      m_value = f;
+                                    }
+                                    :: acc
+                                | None -> acc
+                              in
+                              num "expansions_per_search" Effort acc
+                              |> num "schedule_length" Length
+                              |> num "est_speed_hz" Speed)
+                        acc points
+                in
+                (match Option.bind (J.mem "expansions_growth" scale) J.num with
+                | Some f ->
+                    {
+                      m_path = "scale.expansions_growth";
+                      m_kind = Effort;
+                      m_value = f;
+                    }
+                    :: acc
+                | None -> acc)
+            | None -> acc
+          in
           Ok
             (List.sort
                (fun a b -> compare a.m_path b.m_path)
@@ -258,6 +302,7 @@ let time_ratio = 5.0
 let time_abs_us = 50_000.0
 let count_ratio = 1.5
 let count_abs = 64.0
+let effort_ratio = 1.1
 
 let judge kind base fresh =
   match kind with
@@ -279,6 +324,13 @@ let judge kind base fresh =
             (fresh /. Float.max 1.0 base)
             (fresh -. base) count_ratio count_abs
         else "within count tolerance" )
+  | Effort ->
+      let worse = fresh > base *. effort_ratio in
+      ( worse,
+        if worse then
+          Printf.sprintf "search effort %.4g -> %.4g (limit %gx)" base fresh
+            effort_ratio
+        else "within effort tolerance" )
   | Length ->
       let worse = fresh > base in
       ( worse,

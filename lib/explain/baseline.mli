@@ -12,6 +12,11 @@
       [driver.counter.*]) and the placement wirelength gauge.  Regress when
       more than 1.5× the baseline and more than 64 absolute over it (the
       annealer is seeded, but small count drift must not block a PR).
+    - {b Effort} — routing effort against design size
+      ([scale.*.expansions_per_search], [scale.expansions_growth]).
+      Deterministic for the committed seeds; regresses above 1.1× the
+      baseline, so a search that floods the array again (and with it
+      superlinear growth in the expansions per search) fails.
     - {b Length} — schedule frame lengths ([…schedule.length],
       [workloads.*.*.schedule_length]).  Deterministic: {e any} increase
       regresses.
@@ -27,7 +32,7 @@
     in the fresh run is reported as new but never fails the gate.  The
     [batch] section is wall-clock-dominated and excluded entirely. *)
 
-type kind = Time | Count | Length | Speed | Bool
+type kind = Time | Count | Effort | Length | Speed | Bool
 
 val kind_name : kind -> string
 

@@ -5,229 +5,297 @@ module Sink = Msched_obs.Sink
 
 type path = { p_len : int; p_hops : (int * int) list }
 
-(* Negotiated-congestion steering: with a reroute context carrying
-   history, explore channels with the least accumulated congestion first.
-   BFS still finds a minimal-latency path — the order only breaks ties
-   between equal-length paths, away from historically contested wires. *)
-let order_channels ctx channels =
-  match ctx with
-  | Some c when Reroute.history_total c > 0 ->
-      List.stable_sort
-        (fun (a : System.channel) (b : System.channel) ->
-          compare
-            (Reroute.history c ~channel:a.System.channel_index)
-            (Reroute.history c ~channel:b.System.channel_index))
-        channels
-  | Some _ | None -> channels
-
-let blocked_hop ctx ~channel =
-  match ctx with Some c -> Reroute.bump_history c ~channel | None -> ()
-
-let account_expansions ctx obs n =
-  Sink.add obs "pathfind.states_expanded" n;
-  match ctx with
-  | Some c ->
-      Reroute.note_expansions c n;
-      Sink.add obs "reroute.expansions" n
-  | None -> ()
-
-(* Backward BFS from (dst, r_arr).  States are (fpga, r); both transitions
-   (wait, hop) increase r by one, so a FIFO queue explores r layer by
-   layer and the first time we reach [src] is with minimal latency.
-
-   The core is parameterized over the channel probe, channel ordering and
-   blocked-hop callback so the live search (probing the real reservation
-   table, bumping congestion history in place) and the frozen speculative
-   search (probing a snapshot plus a worker-private overlay, deferring
-   every side effect into a log) run the byte-identical exploration. *)
-let backward_core ~probe ~order sys ~src ~dst ~r_arr ~r_limit ~expanded =
-  let parent : (int * int, (int * int) * int option) Hashtbl.t =
-    (* state -> (parent state, channel used to reach it, if a hop) *)
-    Hashtbl.create 256
-  in
-  let queue = Queue.create () in
-  let start = (Ids.Fpga.to_int dst, r_arr) in
-  Hashtbl.replace parent start (start, None);
-  Queue.add start queue;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let (f, r) as state = Queue.pop queue in
-    incr expanded;
-    if Ids.Fpga.to_int src = f then found := Some state
-    else if r < r_limit then begin
-      let push next via =
-        if not (Hashtbl.mem parent next) then begin
-          Hashtbl.replace parent next (state, via);
-          Queue.add next queue
-        end
-      in
-      (* Wait: the value was already at [f] one slot earlier (forward). *)
-      push (f, r + 1) None;
-      (* Hop: the value came from a neighbor [g] over channel (g -> f),
-         departing at r + 1. *)
-      List.iter
-        (fun (c : System.channel) ->
-          if probe ~channel:c.System.channel_index ~rslot:(r + 1) then
-            push
-              (Ids.Fpga.to_int c.System.src, r + 1)
-              (Some c.System.channel_index))
-        (order (System.in_channels sys (Ids.Fpga.of_int f)))
-    end
-  done;
-  match !found with
-  | None -> None
-  | Some final ->
-      let rec unwind state acc =
-        let prev, via = Hashtbl.find parent state in
-        let acc =
-          match via with
-          | Some channel -> (channel, snd state) :: acc
-          | None -> acc
-        in
-        if prev = state then acc else unwind prev acc
-      in
-      (* Unwinding from the source state toward the destination yields hops
-         in source-to-destination order already reversed; rebuild so the
-         source-side hop (largest rslot) comes first. *)
-      let hops = List.rev (unwind final []) in
-      Some { p_len = snd final - r_arr; p_hops = hops }
-
-(* Probe transcript of one live search: every (channel, reverse slot) the
-   BFS tested, split by outcome.  The exploration is a deterministic
-   function of these results (see [backward_core]), so a later run in
-   which every recorded probe resolves identically provably performs the
-   byte-identical search — the validity condition for exact ledger replay
-   in delta compilation. *)
-type probe_log = {
-  mutable pr_free : (int * int) list;
-  mutable pr_blocked : (int * int) list;
+type log = {
+  mutable l_free : (int * int) list;
+  mutable l_blocked : (int * int) list;
+  mutable l_expanded : int;
+  mutable l_rounds : int;
 }
 
-let probe_log () = { pr_free = []; pr_blocked = [] }
+let log () = { l_free = []; l_blocked = []; l_expanded = 0; l_rounds = 0 }
 
-let search ?(obs = Sink.null) ?ctx ?probe:plog sys res ~src ~dst ~r_arr
-    ~max_extra =
-  Sink.incr obs "pathfind.searches";
-  if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
-  else begin
-    let dist = Topology.distance (System.topology sys) src dst in
-    let expanded = ref 0 in
-    let blocked = ref 0 in
-    let probe ~channel ~rslot =
-      let free = Resource.free_at res ~channel ~rslot in
-      (match plog with
-      | Some l ->
-          if free then l.pr_free <- (channel, rslot) :: l.pr_free
-          else l.pr_blocked <- (channel, rslot) :: l.pr_blocked
-      | None -> ());
-      if not free then begin
-        incr blocked;
-        blocked_hop ctx ~channel
-      end;
-      free
-    in
-    let result =
-      backward_core ~probe ~order:(order_channels ctx) sys ~src ~dst ~r_arr
-        ~r_limit:(r_arr + dist + max_extra) ~expanded
-    in
-    account_expansions ctx obs !expanded;
-    Sink.add obs "pathfind.congestion_blocked" !blocked;
-    match result with
-    | None ->
-        Sink.incr obs "pathfind.failures";
-        None
-    | Some p ->
-        Sink.observe obs "pathfind.path_len" p.p_len;
-        Sink.observe obs "pathfind.extra_slots" (p.p_len - dist);
-        result
+(* ---- Search workspace ----
+
+   One per domain ([Domain.DLS]), reused across searches, so the parallel
+   TIERS workers never share one.  A state (fpga [f], layer [l]) — layer =
+   slots since the start slot — has id [l * nfpga + f]; the per-state
+   arrays are indexed by id and reset through the layer lists after every
+   search, so a search costs only the states it discovers. *)
+
+module Vec = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = Array.make 16 0; n = 0 }
+
+  let push v x =
+    if v.n = Array.length v.a then v.a <- Array.append v.a (Array.make v.n 0);
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+end
+
+type ws = {
+  mutable parent : int array;  (* -1: undiscovered; the start is its own *)
+  mutable sidx : int array;  (* successor index within the parent *)
+  mutable born : int array;  (* deepening round of discovery *)
+  mutable layers : Vec.t array;  (* members of each layer, in BFS order *)
+  mutable pending : Vec.t array;  (* pruned edges, bucketed by f-value *)
+}
+
+let ws_key =
+  Domain.DLS.new_key (fun () ->
+      { parent = [||]; sidx = [||]; born = [||]; layers = [||];
+        pending = [||] })
+
+let ensure_state ws id =
+  let cap = Array.length ws.parent in
+  if id >= cap then begin
+    let extra fill = Array.make (max (id + 1 - cap) cap) fill in
+    ws.parent <- Array.append ws.parent (extra (-1));
+    ws.sidx <- Array.append ws.sidx (extra 0);
+    ws.born <- Array.append ws.born (extra 0)
   end
 
-(* ---- Frozen speculative search (see tiers.ml's parallel pass). ---- *)
+let vec arr i =
+  let n = Array.length arr in
+  if i < n then arr
+  else
+    Array.append arr (Array.init (max (i + 1 - n) n) (fun _ -> Vec.create ()))
 
-type frozen_log = {
-  mutable fl_free : (int * int) list;  (* free-probed (channel, rslot) *)
-  mutable fl_blocked : int list;  (* blocked-probe channels, newest first *)
-  mutable fl_blocked_slots : (int * int) list;
-      (* blocked probes with their slots, for exact-replay ledger entries *)
-  mutable fl_expanded : int;
-  mutable fl_entered : bool;  (* BFS body ran (src <> dst) *)
-}
+(* ---- The search core ----
 
-let frozen_log () =
-  {
-    fl_free = [];
-    fl_blocked = [];
-    fl_blocked_slots = [];
-    fl_expanded = 0;
-    fl_entered = false;
-  }
+   Layered BFS over the time-expanded graph from [start] toward [target]:
+   waiting in place and hopping over a channel both advance one layer, so
+   the first layer that reaches [target] gives the minimal latency, and a
+   state's parent is the first state (in BFS order) that reaches it.
 
-let overlay_count overlay ~channel ~rslot =
-  Option.value ~default:0 (Hashtbl.find_opt overlay (channel, rslot))
+   Goal direction: a successor whose f-value [layer + distance to target]
+   exceeds [bound] is neither probed nor discovered; its edge is parked in
+   the [pending] bucket of its f-value.  When a round ends without the
+   target, the bound rises to the smallest parked f-value (edges beyond
+   [r_limit] are dropped) and only that bucket's edges resume; each state
+   is expanded at most once.  Resumed edges and new states are processed
+   in the unbounded search's order within their layer.  Hop distance is
+   1-Lipschitz along every channel, so every predecessor of an unpruned
+   state is unpruned, and the path found is exactly the unbounded
+   search's (docs/ALGORITHM.md, "Goal-directed search"). *)
+let core ~forward ~order ~probe sys ~start ~target ~r0 ~r_limit log =
+  let ws = Domain.DLS.get ws_key in
+  let nf = System.num_fpgas sys in
+  let stride = nf + 1 in
+  let tgt = Ids.Fpga.of_int target in
+  let topo = System.topology sys in
+  let dist f = Topology.distance topo (Ids.Fpga.of_int f) tgt in
+  let chans f =
+    order
+      ((if forward then System.out_channels else System.in_channels)
+         sys (Ids.Fpga.of_int f))
+  in
+  let far (c : System.channel) =
+    Ids.Fpga.to_int (if forward then c.System.dst else c.System.src)
+  in
+  let blimit = r_limit - r0 in
+  let bound = ref (min blimit (dist start)) in
+  let round = ref 0 and found = ref (-1) in
+  let nlayers = ref 0 and npending = ref 0 in
+  let discover t ~parent ~k =
+    let l = t / nf in
+    if l >= Array.length ws.layers then ws.layers <- vec ws.layers l;
+    nlayers := max !nlayers (l + 1);
+    let v = ws.layers.(l) in
+    ws.parent.(t) <- parent;
+    ws.sidx.(t) <- k;
+    ws.born.(t) <- !round;
+    Vec.push v t;
+    if t mod nf = target then found := t
+  in
+  (* Successor [k] of state [s]: 0 waits, [k] takes channel [c]. *)
+  let edge s k c =
+    let l = (s / nf) + 1 in
+    let g = match c with None -> s mod nf | Some c -> far c in
+    let fv = l + dist g in
+    if fv > !bound then begin
+      if fv <= blimit then begin
+        if fv >= Array.length ws.pending then ws.pending <- vec ws.pending fv;
+        npending := max !npending (fv + 1);
+        Vec.push ws.pending.(fv) ((s * stride) + k)
+      end
+    end
+    else begin
+      let t = (l * nf) + g in
+      ensure_state ws t;
+      if
+        ws.parent.(t) < 0
+        &&
+        match c with
+        | None -> true
+        | Some c -> probe ~channel:c.System.channel_index ~rslot:(r0 + l)
+      then discover t ~parent:s ~k
+    end
+  in
+  let nth_channel s k = List.nth (chans (s mod nf)) (k - 1) in
+  let expand s =
+    log.l_expanded <- log.l_expanded + 1;
+    edge s 0 None;
+    List.iteri
+      (fun i c -> if !found < 0 then edge s (i + 1) (Some c))
+      (chans (s mod nf))
+  in
+  (* BFS order within a layer is lexicographic in the successor indices
+     along the path from the start: compare just below the closest common
+     ancestor of two states. *)
+  let rec before a b =
+    let pa = ws.parent.(a) and pb = ws.parent.(b) in
+    if pa = pb then compare ws.sidx.(a) ws.sidx.(b) else before pa pb
+  in
+  (* A work item is [s * stride + k]: edge [k] of [s], or [k = nf] for the
+     full expansion of a state new this round. *)
+  let by_bfs_order x y =
+    let sx = x / stride and sy = y / stride in
+    if sx = sy then compare x y else before sx sy
+  in
+  (* One round: layer by layer, the resumed edges and the new states' (the
+     tail of each layer) expansions, in BFS order.  In the first round every
+     layer is all new and already in BFS order. *)
+  let run_round resumed =
+    let ne = Array.length resumed in
+    let e = ref 0 and l = ref 0 in
+    let edge_layer i = resumed.(i) / stride / nf in
+    let fresh l =
+      let v = ws.layers.(l) in
+      let i = ref v.Vec.n in
+      while !i > 0 && ws.born.(v.Vec.a.(!i - 1)) = !round do
+        decr i
+      done;
+      Array.init (v.Vec.n - !i) (fun j -> (v.Vec.a.(!i + j) * stride) + nf)
+    in
+    let has_new l =
+      l < !nlayers
+      &&
+      let v = ws.layers.(l) in
+      v.Vec.n > 0 && ws.born.(v.Vec.a.(v.Vec.n - 1)) = !round
+    in
+    while !found < 0 && (!e < ne || has_new !l) do
+      if not (has_new !l) then l := edge_layer !e;
+      let e0 = !e in
+      while !e < ne && edge_layer !e = !l do
+        incr e
+      done;
+      let items =
+        if !e = e0 then fresh !l
+        else Array.append (Array.sub resumed e0 (!e - e0)) (fresh !l)
+      in
+      if !round > 0 then Array.sort by_bfs_order items;
+      Array.iter
+        (fun code ->
+          let s = code / stride and k = code mod stride in
+          if !found >= 0 then ()
+          else if k = nf then expand s
+          else edge s k (if k = 0 then None else Some (nth_channel s k)))
+        items;
+      incr l
+    done
+  in
+  let search () =
+    ensure_state ws start;
+    discover start ~parent:start ~k:0;
+    run_round [||];
+    let b = ref (!bound + 1) in
+    while !found < 0 && !b < !npending do
+      let bucket = ws.pending.(!b) in
+      if bucket.Vec.n > 0 then begin
+        bound := !b;
+        incr round;
+        log.l_rounds <- log.l_rounds + 1;
+        let resumed = Array.sub bucket.Vec.a 0 bucket.Vec.n in
+        bucket.Vec.n <- 0;
+        Array.sort compare resumed;
+        run_round resumed
+      end;
+      incr b
+    done;
+    if !found < 0 then None
+    else begin
+      log.l_expanded <- log.l_expanded + 1;
+      (* Hops start-side first: (channel, slot of the state it reached). *)
+      let rec walk t acc =
+        let s = ws.parent.(t) in
+        if s = t then acc
+        else
+          let k = ws.sidx.(t) in
+          let hop () =
+            ((nth_channel s k).System.channel_index, r0 + (t / nf))
+          in
+          walk s (if k = 0 then acc else hop () :: acc)
+      in
+      Some (!found / nf, walk !found [])
+    end
+  in
+  let reset () =
+    for l = 0 to !nlayers - 1 do
+      let v = ws.layers.(l) in
+      for i = 0 to v.Vec.n - 1 do
+        ws.parent.(v.Vec.a.(i)) <- -1
+      done;
+      v.Vec.n <- 0
+    done;
+    for b = 0 to !npending - 1 do
+      ws.pending.(b).Vec.n <- 0
+    done
+  in
+  Fun.protect ~finally:reset search
 
-let overlay_free res overlay ~channel ~rslot =
-  Resource.usage_at res ~channel ~rslot + overlay_count overlay ~channel ~rslot
-  < Resource.effective_width res ~channel
-
-let search_frozen ?ctx sys res ~overlay ~local_history ~local_total ~log ~src
-    ~dst ~r_arr ~max_extra =
+(* Channels are explored least-contested first under a context with
+   congestion history — ordered by the history as it stands when the search
+   starts, so the order only breaks ties between equal-length paths. *)
+let run ~forward ?ctx ~probe log sys ~src ~dst ~anchor ~max_extra =
   if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
   else begin
-    log.fl_entered <- true;
-    let dist = Topology.distance (System.topology sys) src dst in
-    let expanded = ref 0 in
-    let probe ~channel ~rslot =
-      let free = overlay_free res overlay ~channel ~rslot in
-      if free then log.fl_free <- (channel, rslot) :: log.fl_free
-      else begin
-        log.fl_blocked <- channel :: log.fl_blocked;
-        log.fl_blocked_slots <- (channel, rslot) :: log.fl_blocked_slots;
-        (* Exact contexts freeze history (see Reroute.bump_history); the
-           link-local mirror must stay frozen too or the speculative
-           channel ordering would diverge from the sequential pass. *)
-        match ctx with
-        | Some c when not (Reroute.is_exact c) ->
-            Hashtbl.replace local_history channel
-              (1
-              + Option.value ~default:0 (Hashtbl.find_opt local_history channel));
-            incr local_total
-        | Some _ | None -> ()
-      end;
-      free
-    in
-    (* Ordering must mirror the sequential pass exactly: global history as
-       of the batch snapshot plus the bumps this link itself would have
-       made so far (the sequential pass applies those immediately). *)
-    let order channels =
+    let order =
       match ctx with
-      | Some c when Reroute.history_total c + !local_total > 0 ->
+      | Some c when Reroute.history_total c > 0 ->
           let h (ch : System.channel) =
             Reroute.history c ~channel:ch.System.channel_index
-            + Option.value ~default:0
-                (Hashtbl.find_opt local_history ch.System.channel_index)
           in
-          List.stable_sort (fun a b -> compare (h a) (h b)) channels
-      | Some _ | None -> channels
+          List.stable_sort (fun a b -> compare (h a) (h b))
+      | Some _ | None -> Fun.id
     in
-    let result =
-      backward_core ~probe ~order sys ~src ~dst ~r_arr
-        ~r_limit:(r_arr + dist + max_extra) ~expanded
+    let probe ~channel ~rslot =
+      let free = probe ~channel ~rslot in
+      if free then log.l_free <- (channel, rslot) :: log.l_free
+      else log.l_blocked <- (channel, rslot) :: log.l_blocked;
+      free
     in
-    log.fl_expanded <- !expanded;
-    result
+    let start, target = if forward then (src, dst) else (dst, src) in
+    let dist = Topology.distance (System.topology sys) src dst in
+    core ~forward ~order ~probe sys ~start:(Ids.Fpga.to_int start)
+      ~target:(Ids.Fpga.to_int target) ~r0:anchor
+      ~r_limit:(anchor + dist + max_extra) log
+    |> Option.map (fun (len, hops) ->
+           (* Backward hops come out destination-side first; [p_hops] is
+              source-side first in both directions. *)
+           { p_len = len; p_hops = (if forward then hops else List.rev hops) })
   end
 
-let frozen_still_valid res log =
-  List.for_all
-    (fun (channel, rslot) -> Resource.free_at res ~channel ~rslot)
-    log.fl_free
-
-let replay_frozen_accounting ?(obs = Sink.null) ?ctx log result ~dist =
+(* Deferred accounting of one search: counters, the per-search effort
+   histogram, context expansion charges and the congestion-history bumps
+   of every blocked probe (applied when the search ends, so the search's
+   own channel order never sees them). *)
+let account ?(obs = Sink.null) ?ctx log result ~dist =
   Sink.incr obs "pathfind.searches";
-  if log.fl_entered then begin
-    List.iter (fun channel -> blocked_hop ctx ~channel) (List.rev log.fl_blocked);
-    account_expansions ctx obs log.fl_expanded;
-    Sink.add obs "pathfind.congestion_blocked" (List.length log.fl_blocked);
+  (* A search that ran expanded at least its start state. *)
+  if log.l_expanded > 0 then begin
+    Sink.add obs "pathfind.states_expanded" log.l_expanded;
+    Sink.observe obs "pathfind.expansions" log.l_expanded;
+    Sink.add obs "pathfind.deepen_rounds" log.l_rounds;
+    (match ctx with
+    | Some c ->
+        List.iter
+          (fun (channel, _) -> Reroute.bump_history c ~channel)
+          (List.rev log.l_blocked);
+        Reroute.note_expansions c log.l_expanded;
+        Sink.add obs "reroute.expansions" log.l_expanded
+    | None -> ());
+    Sink.add obs "pathfind.congestion_blocked" (List.length log.l_blocked);
     match result with
     | None -> Sink.incr obs "pathfind.failures"
     | Some p ->
@@ -235,126 +303,68 @@ let replay_frozen_accounting ?(obs = Sink.null) ?ctx log result ~dist =
         Sink.observe obs "pathfind.extra_slots" (p.p_len - dist)
   end
 
+let live ~forward ?obs ?ctx ?log:l sys res ~src ~dst ~anchor ~max_extra =
+  let l = match l with Some l -> l | None -> log () in
+  let result =
+    run ~forward ?ctx ~probe:(Resource.free_at res) l sys ~src ~dst ~anchor
+      ~max_extra
+  in
+  account ?obs ?ctx l result
+    ~dist:(Topology.distance (System.topology sys) src dst);
+  result
+
+let search ?obs ?ctx ?log sys res ~src ~dst ~r_arr ~max_extra =
+  live ~forward:false ?obs ?ctx ?log sys res ~src ~dst ~anchor:r_arr ~max_extra
+
+let search_forward ?obs ?ctx ?log sys res ~src ~dst ~t_dep ~max_extra =
+  live ~forward:true ?obs ?ctx ?log sys res ~src ~dst ~anchor:t_dep ~max_extra
+
+(* ---- Frozen speculative search (see tiers.ml's parallel pass). ---- *)
+
+let overlay_free res overlay ~channel ~rslot =
+  Resource.usage_at res ~channel ~rslot
+  + Option.value ~default:0 (Hashtbl.find_opt overlay (channel, rslot))
+  < Resource.effective_width res ~channel
+
+let search_frozen ?ctx sys res ~overlay ~log ~src ~dst ~r_arr ~max_extra =
+  run ~forward:false ?ctx ~probe:(overlay_free res overlay) log sys ~src ~dst
+    ~anchor:r_arr ~max_extra
+
 let reserve_path res path =
   List.iter
     (fun (channel, rslot) -> Resource.reserve res ~channel ~rslot)
     path.p_hops
 
-(* Mirror image of [search]: BFS forward in time from (src, t_dep). *)
-let search_forward ?(obs = Sink.null) ?ctx sys res ~src ~dst ~t_dep ~max_extra =
-  Sink.incr obs "pathfind.searches";
-  if Ids.Fpga.equal src dst then Some { p_len = 0; p_hops = [] }
-  else begin
-    let dist = Topology.distance (System.topology sys) src dst in
-    let t_limit = t_dep + dist + max_extra in
-    let parent : (int * int, (int * int) * int option) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let queue = Queue.create () in
-    let start = (Ids.Fpga.to_int src, t_dep) in
-    Hashtbl.replace parent start (start, None);
-    Queue.add start queue;
-    let expanded = ref 0 in
-    let blocked = ref 0 in
-    let found = ref None in
-    while !found = None && not (Queue.is_empty queue) do
-      let (f, t) as state = Queue.pop queue in
-      incr expanded;
-      if Ids.Fpga.to_int dst = f then found := Some state
-      else if t < t_limit then begin
-        let push next via =
-          if not (Hashtbl.mem parent next) then begin
-            Hashtbl.replace parent next (state, via);
-            Queue.add next queue
-          end
-        in
-        push (f, t + 1) None;
-        List.iter
-          (fun (c : System.channel) ->
-            if Resource.free_at res ~channel:c.System.channel_index ~rslot:(t + 1)
-            then
-              push
-                (Ids.Fpga.to_int c.System.dst, t + 1)
-                (Some c.System.channel_index)
-            else begin
-              incr blocked;
-              blocked_hop ctx ~channel:c.System.channel_index
-            end)
-          (order_channels ctx (System.out_channels sys (Ids.Fpga.of_int f)))
-      end
-    done;
-    account_expansions ctx obs !expanded;
-    Sink.add obs "pathfind.congestion_blocked" !blocked;
-    match !found with
-    | None ->
-        Sink.incr obs "pathfind.failures";
-        None
-    | Some final ->
-        Sink.observe obs "pathfind.path_len" (snd final - t_dep);
-        Sink.observe obs "pathfind.extra_slots" (snd final - t_dep - dist);
-        let rec unwind state acc =
-          let prev, via = Hashtbl.find parent state in
-          let acc =
-            match via with
-            | Some channel -> (channel, snd state) :: acc
-            | None -> acc
-          in
-          if prev = state then acc else unwind prev acc
-        in
-        (* Unwinding from the destination prepends later hops first, so the
-           accumulated list is already source-side first. *)
-        let hops = unwind final [] in
-        Some { p_len = snd final - t_dep; p_hops = hops }
-  end
-
+(* Spatial BFS from [src]; [via.(g)] is the channel that reached [g]
+   ([-1] for the source, [-2] while undiscovered). *)
 let shortest_free_wire_path_keeping sys res ~src ~dst ~min_left =
-  if Ids.Fpga.equal src dst then Some []
-  else begin
-    let parent : (int, int * int option) Hashtbl.t = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let s = Ids.Fpga.to_int src in
-    Hashtbl.replace parent s (s, None);
-    Queue.add s queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let f = Queue.pop queue in
-      if f = Ids.Fpga.to_int dst then found := true
-      else begin
-        (* Prefer channels with the most wires left so dedication spreads
-           instead of starving hot channels. *)
-        let channels =
-          List.sort
-            (fun (a : System.channel) (b : System.channel) ->
-              compare
-                (Resource.effective_width res ~channel:b.System.channel_index)
-                (Resource.effective_width res ~channel:a.System.channel_index))
-            (System.out_channels sys (Ids.Fpga.of_int f))
-        in
-        List.iter
-          (fun (c : System.channel) ->
-            let g = Ids.Fpga.to_int c.System.dst in
-            if
-              Resource.effective_width res ~channel:c.System.channel_index
-              > min_left
-              && not (Hashtbl.mem parent g)
-            then begin
-              Hashtbl.replace parent g (f, Some c.System.channel_index);
-              Queue.add g queue
-            end)
-          channels
-      end
-    done;
-    if not !found then None
-    else begin
-      let rec unwind f acc =
-        let prev, via = Hashtbl.find parent f in
-        match via with
-        | None -> acc
-        | Some channel -> unwind prev (channel :: acc)
-      in
-      Some (unwind (Ids.Fpga.to_int dst) [])
-    end
-  end
+  let via = Array.make (System.num_fpgas sys) (-2) in
+  let queue = Queue.create () in
+  via.(Ids.Fpga.to_int src) <- -1;
+  Queue.add src queue;
+  while via.(Ids.Fpga.to_int dst) = -2 && not (Queue.is_empty queue) do
+    let width (c : System.channel) =
+      Resource.effective_width res ~channel:c.System.channel_index
+    in
+    (* Prefer channels with the most wires left so dedication spreads
+       instead of starving hot channels. *)
+    List.sort
+      (fun a b -> compare (width b) (width a))
+      (System.out_channels sys (Queue.pop queue))
+    |> List.iter (fun (c : System.channel) ->
+           let g = Ids.Fpga.to_int c.System.dst in
+           if width c > min_left && via.(g) = -2 then begin
+             via.(g) <- c.System.channel_index;
+             Queue.add c.System.dst queue
+           end)
+  done;
+  let rec unwind f acc =
+    match via.(Ids.Fpga.to_int f) with
+    | -1 -> Some acc
+    | -2 -> None
+    | c -> unwind (System.channel sys c).System.src (c :: acc)
+  in
+  unwind dst []
 
 (* Dedicating the last wire of a channel would disconnect the multiplexed
    network, so keep one wire in reserve and only fall back to draining a

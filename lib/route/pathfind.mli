@@ -17,24 +17,27 @@ type path = {
       (** (channel index, reverse slot) per hop, source-side first. *)
 }
 
-type probe_log = {
-  mutable pr_free : (int * int) list;
-      (** (channel, reverse slot) probes that found the slot free. *)
-  mutable pr_blocked : (int * int) list;
-      (** Probes that found the slot full. *)
+type log = {
+  mutable l_free : (int * int) list;
+      (** (channel, slot) probes that found the slot free, newest first. *)
+  mutable l_blocked : (int * int) list;
+      (** Probes that found the slot full, newest first. *)
+  mutable l_expanded : int;  (** States expanded (the reached target counts). *)
+  mutable l_rounds : int;  (** Times the goal bound was raised. *)
 }
-(** Probe transcript of one live search.  The BFS exploration is a
+(** Effort and probe transcript of one search.  The exploration is a
     deterministic function of its probe results, so a later search in
     which every recorded probe resolves identically is provably the
-    byte-identical search — the validity condition for exact ledger
-    replay in delta compilation ({!Reroute.is_exact}). *)
+    byte-identical search — the validity condition both for exact ledger
+    replay in delta compilation ({!Reroute.is_exact}) and for committing a
+    speculative search in the parallel TIERS pass. *)
 
-val probe_log : unit -> probe_log
+val log : unit -> log
 
 val search :
   ?obs:Msched_obs.Sink.t ->
   ?ctx:Reroute.t ->
-  ?probe:probe_log ->
+  ?log:log ->
   Msched_arch.System.t ->
   Resource.t ->
   src:Ids.Fpga.t ->
@@ -46,12 +49,20 @@ val search :
     exists within [r_arr + distance + max_extra] reverse slots (pathological
     congestion or a disconnected wire pool).  Does not reserve slots.
 
-    With a reroute context [ctx], congestion-blocked hops accumulate
-    per-channel history and equal-length path ties are broken toward the
-    least-contested channels (negotiated congestion); expansion counts are
-    charged to the context and to the [reroute.expansions] counter.
-    With [probe], every reservation-table probe is transcribed into the
-    log (used to build exact-replay ledger entries). *)
+    The search is goal-directed: a state whose slot plus its hop distance
+    to [src] exceeds the current bound is neither probed nor expanded, and
+    the bound is deepened only when a round fails.  The returned path —
+    latency and hops — is exactly that of the unbounded layered BFS over
+    the same reservation table (docs/ALGORITHM.md, "Goal-directed
+    search").
+
+    With a reroute context [ctx], channels are explored least-contested
+    first (order fixed from the history as it stands when the search
+    starts), and every blocked probe bumps that channel's history when the
+    search ends (negotiated congestion); expansion counts are charged to
+    the context and to the [reroute.expansions] counter.  With [log], the
+    probes and effort are also transcribed into the caller's log (used to
+    build exact-replay ledger entries). *)
 
 val reserve_path : Resource.t -> path -> unit
 
@@ -60,31 +71,15 @@ val reserve_path : Resource.t -> path -> unit
     The parallel TIERS reverse pass routes several links concurrently
     against a {e frozen} snapshot of the reservation table and congestion
     history: workers must not mutate shared state, so the frozen search
-    defers every side effect (reservation probes, history bumps, expansion
-    accounting) into a per-search log.  The sequential committer then
-    either {e replays} the log — valid exactly when every free-probed slot
-    is still free, since reservations are monotone within a pass — or
-    discards it and re-routes the link on the live path.  When the replay
-    is valid the exploration the worker performed is provably the one the
-    sequential pass would have performed, which is what makes jobs=N
-    schedules byte-identical to jobs=1. *)
-
-type frozen_log = {
-  mutable fl_free : (int * int) list;
-      (** Free-probed (channel, reverse slot) pairs, newest first.  The
-          commit-time validity condition: all still free. *)
-  mutable fl_blocked : int list;
-      (** Channels of blocked probes in exploration order (newest first);
-          replayed as congestion-history bumps at commit. *)
-  mutable fl_blocked_slots : (int * int) list;
-      (** Blocked probes with their slots, newest first — the committer
-          turns these into exact-replay ledger entries under an exact
-          reroute context. *)
-  mutable fl_expanded : int;
-  mutable fl_entered : bool;  (** BFS body ran ([src <> dst]). *)
-}
-
-val frozen_log : unit -> frozen_log
+    defers every side effect (history bumps, expansion accounting) into
+    its {!log}.  The sequential committer then either {e replays} the log
+    with {!account} — valid exactly when every free-probed slot is still
+    free and the history the search ordered channels by is unchanged,
+    since reservations are monotone within a pass — or discards it and
+    re-routes the link on the live path.  When the replay is valid the
+    exploration the worker performed is provably the one the sequential
+    pass would have performed, which is what makes jobs=N schedules
+    byte-identical to jobs=1. *)
 
 val overlay_free :
   Resource.t -> (int * int, int) Hashtbl.t -> channel:int -> rslot:int -> bool
@@ -97,40 +92,33 @@ val search_frozen :
   Msched_arch.System.t ->
   Resource.t ->
   overlay:(int * int, int) Hashtbl.t ->
-  local_history:(int, int) Hashtbl.t ->
-  local_total:int ref ->
-  log:frozen_log ->
+  log:log ->
   src:Ids.Fpga.t ->
   dst:Ids.Fpga.t ->
   r_arr:int ->
   max_extra:int ->
   path option
-(** Side-effect-free twin of {!search}: reads [res], [ctx] history and the
-    caller's [overlay] (reservations made by earlier transports of the
-    same link) but mutates only [log] and the link-local history tables
-    ([local_history]/[local_total], which keep tie-breaking consistent
-    with the bumps the sequential pass would already have applied). *)
+(** Side-effect-free twin of {!search}: the same search core and channel
+    order, probing [res] plus the caller's [overlay] (reservations made by
+    earlier transports of the same link); mutates only [log]. *)
 
-val frozen_still_valid : Resource.t -> frozen_log -> bool
-(** All free-probed slots of the log are still free (overlay-less form;
-    the committer uses {!overlay_free} directly when validating several
-    transports of one link against each other). *)
-
-val replay_frozen_accounting :
+val account :
   ?obs:Msched_obs.Sink.t ->
   ?ctx:Reroute.t ->
-  frozen_log ->
+  log ->
   path option ->
   dist:int ->
   unit
-(** Apply the accounting a validated frozen search deferred: the
-    [pathfind.*] counters and observations, context expansion charges and
-    congestion-history bumps, exactly as the live {!search} would have
-    recorded them. *)
+(** The accounting a search defers to its end: the [pathfind.*] counters
+    and observations (including the [pathfind.expansions] histogram and
+    [pathfind.deepen_rounds]), context expansion charges and the
+    congestion-history bumps of the blocked probes.  {!search} applies it
+    at once; the parallel committer applies it to validated frozen logs. *)
 
 val search_forward :
   ?obs:Msched_obs.Sink.t ->
   ?ctx:Reroute.t ->
+  ?log:log ->
   Msched_arch.System.t ->
   Resource.t ->
   src:Ids.Fpga.t ->
@@ -138,11 +126,11 @@ val search_forward :
   t_dep:int ->
   max_extra:int ->
   path option
-(** Forward-time variant used by the list scheduler: the value leaves its
-    source at [t_dep] (forward slot) and the search minimizes the arrival
-    time at [dst]; [p_hops] carry {e forward} slots.  A hop departing an
-    FPGA at slot [t] occupies its channel at slot [t + 1] and lands at
-    [t + 1]. *)
+(** Forward-time variant used by the list scheduler, on the same search
+    core: the value leaves its source at [t_dep] (forward slot) and the
+    search minimizes the arrival time at [dst]; [p_hops] carry {e forward}
+    slots.  A hop departing an FPGA at slot [t] occupies its channel at
+    slot [t + 1] and lands at [t + 1]. *)
 
 val shortest_free_wire_path :
   ?obs:Msched_obs.Sink.t ->

@@ -78,7 +78,7 @@ type spec_transport =
   | St_search of {
       st_branch : spec_branch;
       st_path : Pathfind.path option;
-      st_log : Pathfind.frozen_log;
+      st_log : Pathfind.log;
       st_dist : int;
     }
 
@@ -270,19 +270,14 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
      unroutable set and everything routable lands in the ledger for the
      next (warm) attempt. *)
   let searched_transport ctx (l : Link.t) dom r_arr =
-    let plog =
-      match ctx with
-      | Some c when Reroute.is_exact c -> Some (Pathfind.probe_log ())
-      | Some _ | None -> None
-    in
+    let exact = match ctx with Some c -> Reroute.is_exact c | None -> false in
+    let log = Pathfind.log () in
     let probes () =
-      Option.map
-        (fun (pl : Pathfind.probe_log) ->
-          (pl.Pathfind.pr_free, pl.Pathfind.pr_blocked))
-        plog
+      if exact then Some (log.Pathfind.l_free, log.Pathfind.l_blocked)
+      else None
     in
     match
-      Pathfind.search ~obs ?ctx ?probe:plog sys res ~src:l.Link.src_fpga
+      Pathfind.search ~obs ?ctx ~log sys res ~src:l.Link.src_fpga
         ~dst:l.Link.dst_fpga ~r_arr ~max_extra:options.max_extra_slots
     with
     | Some p ->
@@ -482,18 +477,15 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
     | None ->
         (* Overlay of this link's own earlier transports (a multi-domain
            link's forks contend with each other exactly as they would
-           sequentially); link-local history bumps keep the tie-break
-           ordering of later forks consistent with the sequential pass. *)
+           sequentially). *)
         let overlay = Hashtbl.create 16 in
-        let local_history = Hashtbl.create 8 in
-        let local_total = ref 0 in
         let frozen_search branch =
           Sink.incr wobs "tiers.par.spec_searches";
-          let log = Pathfind.frozen_log () in
+          let log = Pathfind.log () in
           let p =
-            Pathfind.search_frozen ?ctx:reroute sys res ~overlay
-              ~local_history ~local_total ~log ~src:l.Link.src_fpga
-              ~dst:l.Link.dst_fpga ~r_arr ~max_extra:options.max_extra_slots
+            Pathfind.search_frozen ?ctx:reroute sys res ~overlay ~log
+              ~src:l.Link.src_fpga ~dst:l.Link.dst_fpga ~r_arr
+              ~max_extra:options.max_extra_slots
           in
           (match p with
           | Some p -> overlay_add overlay p.Pathfind.p_hops
@@ -539,11 +531,18 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
     | Sp_routed specs ->
         (* Every slot a worker probed free must still be free — probed
            through a fresh overlay rebuilt from this link's own transports,
-           so intra-link contention is re-checked too. *)
+           so intra-link contention is re-checked too.  A worker ordered
+           channels by the batch-start history, so a search is also void
+           once an earlier fork of the link would have bumped history (a
+           blocked probe under a non-exact context) before it started. *)
         let overlay = Hashtbl.create 16 in
         let free ~channel ~rslot =
           Pathfind.overlay_free res overlay ~channel ~rslot
         in
+        let history_moves =
+          match reroute with Some c -> not (Reroute.is_exact c) | None -> false
+        in
+        let bumped = ref false in
         let transport_ok (_, st) =
           match st with
           | St_warm e ->
@@ -553,10 +552,12 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
                    true
                  end
           | St_search { st_path; st_log; _ } ->
-              List.for_all
-                (fun (channel, rslot) -> free ~channel ~rslot)
-                st_log.Pathfind.fl_free
+              (not !bumped)
+              && List.for_all
+                   (fun (channel, rslot) -> free ~channel ~rslot)
+                   st_log.Pathfind.l_free
               && begin
+                   bumped := history_moves && st_log.Pathfind.l_blocked <> [];
                    (match st_path with
                    | Some p -> overlay_add overlay p.Pathfind.p_hops
                    | None -> ());
@@ -594,8 +595,8 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
                        Reroute.note_fresh ctx;
                        Sink.incr obs "reroute.fresh"
                    | (Br_nocontext | Br_ripped | Br_fresh), _ -> ());
-                   Pathfind.replay_frozen_accounting ~obs ?ctx:reroute st_log
-                     st_path ~dist:st_dist;
+                   Pathfind.account ~obs ?ctx:reroute st_log st_path
+                     ~dist:st_dist;
                    (match st_path with
                    | Some p ->
                        Pathfind.reserve_path res p;
@@ -609,8 +610,8 @@ let schedule placement dom_analysis ?analysis ?(options = default_options)
                                e_probes =
                                  (if Reroute.is_exact c then
                                     Some
-                                      ( st_log.Pathfind.fl_free,
-                                        st_log.Pathfind.fl_blocked_slots )
+                                      ( st_log.Pathfind.l_free,
+                                        st_log.Pathfind.l_blocked )
                                   else None);
                              })
                          reroute;

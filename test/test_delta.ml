@@ -355,6 +355,46 @@ let test_cache_block_granular () =
   | Cache.M_miss -> ()
   | _ -> Alcotest.fail "unknown key must miss"
 
+(* Schema 2 transcripts hold only the goal-directed search's probes, which
+   do not prove the result of an older binary's unbounded search; a
+   schema-1 manifest (whole document, or cache header) must never be
+   replayed: it is rejected and the compile falls cold with E_CACHE. *)
+let test_old_schema_falls_cold () =
+  let _, _, base = small_manifest () in
+  let m = base.Compile.base_manifest in
+  let downgrade text =
+    let cur = Printf.sprintf "\"schema\":\"%s\"" Manifest.schema in
+    let n = String.length cur in
+    let rec find k =
+      if k + n > String.length text then Alcotest.fail "no schema key"
+      else if String.sub text k n = cur then k
+      else find (k + 1)
+    in
+    let i = find 0 in
+    String.sub text 0 i ^ "\"schema\":\"msched-delta-manifest-1\""
+    ^ String.sub text (i + n) (String.length text - i - n)
+  in
+  Alcotest.(check string) "current schema" "msched-delta-manifest-2"
+    Manifest.schema;
+  (match Manifest.of_json_string (downgrade (Manifest.to_json_string m)) with
+  | Ok _ -> Alcotest.fail "schema-1 manifest must not load"
+  | Error _ -> ());
+  let dir = fresh_dir () in
+  let key = "0ld5c4e3a0ld5c4e" in
+  (match Cache.store_manifest ~dir ~key m with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "store failed: %a" Diag.pp d);
+  let path = Cache.manifest_file ~dir ~key in
+  let header = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (downgrade header));
+  match Cache.load_manifest ~dir ~key with
+  | Cache.M_corrupt d ->
+      Alcotest.(check string) "falls cold with E_CACHE" "E_CACHE"
+        (Diag.code_name d.Diag.code)
+  | Cache.M_hit _ -> Alcotest.fail "schema-1 cache header must not replay"
+  | Cache.M_miss -> Alcotest.fail "schema-1 cache header must be diagnosed"
+
 let test_cache_gc_never_strands () =
   let _, _, base = small_manifest () in
   let m = base.Compile.base_manifest in
@@ -462,6 +502,8 @@ let suite =
       test_cache_block_granular;
     Alcotest.test_case "cache: gc never strands a manifest" `Quick
       test_cache_gc_never_strands;
+    Alcotest.test_case "schema-1 manifest falls cold with E_CACHE" `Quick
+      test_old_schema_falls_cold;
     QCheck_alcotest.to_alcotest prop_canonical_fixpoint;
     QCheck_alcotest.to_alcotest prop_cache_key_canonical;
   ]

@@ -190,8 +190,8 @@ let annotate_lands_on_open_span () =
 
 (* ---- Bench regression gate ---- *)
 
-let doc ?(par_identical = true) ~span_us ~length ~speed ~clean ~extra_counter
-    () =
+let doc ?(par_identical = true) ?(effort = 8.0) ~span_us ~length ~speed
+    ~clean ~extra_counter () =
   Printf.sprintf
     {|{"schema":"msched-bench-pipeline-7",
        "designs":{"d1":{"schema":"msched-obs-1",
@@ -206,9 +206,12 @@ let doc ?(par_identical = true) ~span_us ~length ~speed ~clean ~extra_counter
          "prepare_wall_s":{"jobs1":0.1,"jobs2":0.2,"jobs4":0.3},
          "route_wall_s":{"jobs1":0.1,"jobs2":0.2,"jobs4":0.3},
          "schedule_identical_1v2":%b,"schedule_identical_1v4":true,
-         "placement_identical":true,"schedule_length":%d,"est_speed_hz":%g}}|}
+         "placement_identical":true,"schedule_length":%d,"est_speed_hz":%g},
+       "scale":{"points":[{"spec":"design1:scale=0.1","expansions_per_search":%g,
+         "tiers_s":0.5,"schedule_length":%d,"est_speed_hz":%g}],
+         "expansions_growth":2.0}}|}
     span_us extra_counter length speed length speed clean par_identical
-    length speed
+    length speed effort length speed
 
 let base_doc =
   doc ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:true ~extra_counter:"" ()
@@ -246,6 +249,18 @@ let gate_verdicts () =
     ~fresh:
       (doc ~par_identical:false ~span_us:10_000 ~length:10 ~speed:1e6
          ~clean:true ~extra_counter:"" ())
+    false;
+  (* Search effort is deterministic: within 1.1x passes, beyond fails
+     (wall time in the same section is never compared). *)
+  gate "search effort within 1.1x passes"
+    ~fresh:
+      (doc ~effort:8.5 ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:true
+         ~extra_counter:"" ())
+    true;
+  gate "search effort +20% fails"
+    ~fresh:
+      (doc ~effort:9.6 ~span_us:10_000 ~length:10 ~speed:1e6 ~clean:true
+         ~extra_counter:"" ())
     false;
   (* New metrics never fail; metrics vanishing from the fresh run do. *)
   gate "new metric in fresh run passes"

@@ -278,6 +278,66 @@ let test_tiers_par_counters () =
   Alcotest.(check bool) "batches recorded" true
     (Sink.counter obs "tiers.par.batches" > 0)
 
+(* ---- Search-effort metrics are jobs-independent. ----
+   The per-search expansion histogram and the deepening-round counter are
+   accounted by the committer in canonical order, so every width records
+   the same values — cold (no context) and through the resilient ladder's
+   congestion-history context. *)
+
+let test_search_effort_jobs_independent () =
+  let effort jobs run =
+    let obs = Sink.create () in
+    run obs jobs;
+    ( Sink.counter obs "pathfind.deepen_rounds",
+      Sink.counter obs "pathfind.searches",
+      Sink.hist_values obs "pathfind.expansions",
+      List.assoc_opt "pathfind.expansions" (Sink.histograms obs) )
+  in
+  let cold seed obs jobs =
+    let d =
+      Design_gen.random_multidomain ~seed ~domains:3 ~modules:16
+        ~mts_fraction:0.25 ()
+    in
+    let prepared =
+      Compile.prepare
+        ~options:{ Compile.default_options with Compile.max_block_weight = 32 }
+        d.Design_gen.netlist
+    in
+    ignore (Compile.route ~obs ~jobs prepared Tiers.default_options)
+  in
+  let ladder seed obs jobs =
+    let nl =
+      (Design_gen.random_multidomain ~seed ~domains:3 ~modules:12
+         ~mts_fraction:0.3 ())
+        .Design_gen.netlist
+    in
+    ignore
+      (Compile.compile_resilient
+         ~options:{ (tight_options jobs) with Compile.obs }
+         ~max_retries:2 ~fallback_hard:true ~reuse:true nl)
+  in
+  let deepened = ref 0 in
+  List.iter
+    (fun (name, run) ->
+      let ((rounds, searches, _, _) as base) = effort 1 run in
+      deepened := !deepened + rounds;
+      Alcotest.(check bool) (name ^ ": searched") true (searches > 0);
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: effort metrics jobs=%d == jobs=1" name jobs)
+            true
+            (effort jobs run = base))
+        [ 2; 4 ])
+    (List.concat_map
+       (fun seed ->
+         [
+           (Printf.sprintf "cold seed %d" seed, cold seed);
+           (Printf.sprintf "ladder seed %d" seed, ladder seed);
+         ])
+       [ 900; 901; 902 ]);
+  Alcotest.(check bool) "some search deepened" true (!deepened > 0)
+
 let suite =
   [
     Alcotest.test_case "parallel differential: 51-seed set" `Slow
@@ -290,4 +350,6 @@ let suite =
     Alcotest.test_case "jobs budget check" `Quick test_jobs_budget;
     Alcotest.test_case "tiers.par counters account every link" `Quick
       test_tiers_par_counters;
+    Alcotest.test_case "search-effort metrics jobs-independent" `Quick
+      test_search_effort_jobs_independent;
   ]
